@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the paper's tuning choices beyond the leaf size.
 
 The paper tunes two things beyond the leaf size: the construction buffer size
 (§4.3.1, "all methods benefit from a larger buffer size except ADS+"), and it

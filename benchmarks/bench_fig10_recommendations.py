@@ -56,7 +56,8 @@ def test_fig10_empirical_check(benchmark):
     """Empirical sanity check of the advisor at small scale.
 
     The paper's time-based winner depends on I/O dominating at 100GB+ scale,
-    which a laptop-scale Python run cannot reproduce (see DESIGN.md §2); the
+    which a laptop-scale Python run over simulated disks cannot reproduce (see
+    the README "Benchmarks" section); the
     scale-invariant part of the claim is that the recommended indexes examine a
     small fraction of the raw data, which is what this check asserts.
     """

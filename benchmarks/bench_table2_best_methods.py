@@ -51,7 +51,8 @@ def test_table2_best_methods(benchmark):
 
     # Every cell must be filled with one of the compared methods; the
     # time-based winner identities at laptop scale differ from the paper's
-    # (see DESIGN.md §2), so the assertions stay structural.
+    # (fewer series and simulated disks; see the README "Benchmarks" section),
+    # so the assertions stay structural.
     for platform_winners in winners_by_platform.values():
         for winners in platform_winners.values():
             assert set(winners) == set(SCENARIOS)

@@ -1,7 +1,8 @@
 """Shared configuration and helpers for the benchmark harness.
 
 Every benchmark regenerates one of the paper's tables or figures at reduced
-scale (see DESIGN.md §2 for the substitutions).  The scale knobs live here so
+scale (see the README "Benchmarks" section for the substitutions).  The scale
+knobs live here so
 the whole suite stays runnable in minutes; increase them to push the harness
 closer to the paper's sizes.
 

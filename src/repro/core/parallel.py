@@ -10,8 +10,6 @@ for.  This module is the single home for that machinery:
 
 * :func:`resolve_workers` — one rule for turning a ``workers=`` argument (or
   the ``REPRO_WORKERS`` environment variable) into a worker count;
-* :func:`parallel_map` — an ordered, exception-propagating thread map used by
-  the sharded index wrapper and the batch dispatcher;
 * :func:`chunk_slices` — deterministic contiguous partitioning shared by the
   shard planner and the inter-query batch chunker;
 * :class:`SharedRadius` — the lock-guarded monotone best-so-far threshold that
@@ -66,9 +64,7 @@ __all__ = [
     "shared_process_executor",
     "shutdown_shared_executors",
     "chunk_slices",
-    "parallel_map",
     "TaskOutcome",
-    "parallel_map_outcomes",
     "Executor",
     "ThreadExecutor",
     "ProcessExecutor",
@@ -139,29 +135,6 @@ def chunk_slices(total: int, parts: int) -> list[slice]:
     return slices
 
 
-def parallel_map(
-    fn: Callable, items: Iterable, workers: int, pool: ThreadPoolExecutor | None = None
-) -> list:
-    """Apply ``fn`` to every item on a thread pool, preserving item order.
-
-    With ``workers <= 1`` (or one item) this is a plain loop — zero threading
-    overhead and an identical code path, which is what makes ``workers=1`` the
-    exact sequential baseline.  Exceptions raised by any worker propagate to
-    the caller, like the built-in ``map``.
-
-    ``pool`` reuses a caller-owned executor (hot serving paths keep one per
-    sharded method so queries do not pay thread spawn/join per call); without
-    one, a transient executor is created and torn down around the map.
-    """
-    work = list(items)
-    if workers <= 1 or len(work) <= 1:
-        return [fn(item) for item in work]
-    if pool is not None:
-        return list(pool.map(fn, work))
-    with ThreadPoolExecutor(max_workers=min(int(workers), len(work))) as transient:
-        return list(transient.map(fn, work))
-
-
 @dataclass
 class TaskOutcome:
     """What happened to one task of a fault-tolerant fan-out.
@@ -178,75 +151,6 @@ class TaskOutcome:
     @property
     def ok(self) -> bool:
         return self.error is None and not self.timed_out
-
-
-def parallel_map_outcomes(
-    fn: Callable,
-    items: Iterable,
-    workers: int,
-    pool: ThreadPoolExecutor | None = None,
-    deadline: float | None = None,
-) -> list[TaskOutcome]:
-    """Fault-tolerant :func:`parallel_map`: capture per-task outcomes in order.
-
-    Unlike :func:`parallel_map`, a task raising does not abort the fan-out —
-    its exception is captured in its :class:`TaskOutcome` and every other task
-    still runs, which is what lets the sharded executor fail or degrade one
-    shard without losing the others' work.
-
-    ``deadline`` is an absolute ``time.monotonic()`` timestamp: tasks not
-    finished by then are reported ``timed_out`` (queued tasks are cancelled;
-    already-running tasks cannot be interrupted mid-kernel and are left to
-    finish in the background, their late results discarded).  Outcomes are a
-    consistent snapshot taken at the deadline — a task finishing afterwards
-    never mutates what the caller sees.  With ``workers <= 1`` the tasks run
-    sequentially and the deadline is checked between tasks.
-    """
-    work = list(items)
-    if workers <= 1 or len(work) <= 1:
-        outcomes = []
-        for item in work:
-            if deadline is not None and time.monotonic() >= deadline and outcomes:
-                outcomes.append(TaskOutcome(timed_out=True))
-                continue
-            try:
-                outcomes.append(TaskOutcome(value=fn(item)))
-            # repro-lint: disable=no-bare-except -- sanctioned fault-capture
-            # seam: the exception rides back typed in TaskOutcome.error for
-            # the caller to classify (re-raise, retry, or degrade).
-            except Exception as exc:
-                outcomes.append(TaskOutcome(error=exc))
-        return outcomes
-
-    def run(item) -> TaskOutcome:
-        try:
-            return TaskOutcome(value=fn(item))
-        # repro-lint: disable=no-bare-except -- sanctioned fault-capture
-        # seam: same TaskOutcome.error contract as the sequential path.
-        except Exception as exc:
-            return TaskOutcome(error=exc)
-
-    own: ThreadPoolExecutor | None = None
-    executor = pool
-    if executor is None:
-        own = executor = ThreadPoolExecutor(max_workers=min(int(workers), len(work)))
-    try:
-        futures = [executor.submit(run, item) for item in work]
-        if deadline is None:
-            futures_wait(futures)
-        else:
-            futures_wait(futures, timeout=max(0.0, deadline - time.monotonic()))
-            for future in futures:
-                future.cancel()
-    finally:
-        if own is not None:
-            # A deadline must not block on stragglers; without one every
-            # future is already done and shutdown returns immediately.
-            own.shutdown(wait=deadline is None, cancel_futures=True)
-    return [
-        future.result() if future.done() and not future.cancelled() else TaskOutcome(timed_out=True)
-        for future in futures
-    ]
 
 
 class SharedRadius:
@@ -321,10 +225,10 @@ class ProcessSharedRadius:
     takes the table's lock and re-checks under it.
     """
 
-    __slots__ = ("_index",)
+    __slots__ = ("slot",)
 
-    def __init__(self, index: int) -> None:
-        self._index = int(index)
+    def __init__(self, slot: int) -> None:
+        self.slot = int(slot)
 
     @property
     def value(self) -> float:
@@ -332,7 +236,7 @@ class ProcessSharedRadius:
         table = _WORKER_RADIUS_TABLE
         if table is None:  # outside a pool worker: no sharing, prune locally
             return float("inf")
-        return table.get_obj()[self._index]
+        return table.get_obj()[self.slot]
 
     def tighten(self, value: float) -> bool:
         """Lower the shared threshold to ``value`` if it improves the current one."""
@@ -340,11 +244,11 @@ class ProcessSharedRadius:
         if table is None:
             return False
         cells = table.get_obj()
-        if not value < cells[self._index]:  # cheap lock-free rejection
+        if not value < cells[self.slot]:  # cheap lock-free rejection
             return False
         with table.get_lock():
-            if value < cells[self._index]:
-                cells[self._index] = value
+            if value < cells[self.slot]:
+                cells[self.slot] = value
                 return True
         return False
 
@@ -352,12 +256,9 @@ class ProcessSharedRadius:
 class Executor:
     """Protocol for the sharded wrapper's fan-out backend.
 
-    Implementations provide an ordered, exception-propagating :meth:`map`, a
-    fault-capturing :meth:`map_outcomes` (absolute monotonic ``deadline``
-    semantics identical to :func:`parallel_map_outcomes`), and the radius-slot
-    API that backs cross-worker best-so-far pruning.  The thread executor has
-    no slot table — callers get ``None`` slots and fall back to in-process
-    :class:`SharedRadius` objects.
+    Implementations provide a fault-capturing :meth:`map_outcomes` and the
+    shared-radius API that backs cross-worker best-so-far pruning; the
+    ordered, exception-propagating :meth:`map` is built on top of it.
     """
 
     kind: str = ""
@@ -369,19 +270,37 @@ class Executor:
         self.shared = False
 
     def map(self, fn: Callable, items: Iterable) -> list:
-        raise NotImplementedError
+        """Apply ``fn`` to every item, in order; the first failure raises."""
+        results = []
+        for outcome in self.map_outcomes(fn, items):
+            if outcome.error is not None:
+                raise outcome.error
+            if outcome.timed_out:
+                raise TimeoutError(f"{self.kind} task did not complete")
+            results.append(outcome.value)
+        return results
 
     def map_outcomes(
         self, fn: Callable, items: Iterable, deadline: float | None = None
     ) -> list[TaskOutcome]:
+        """Run ``fn`` over every item, capturing each task's outcome in order.
+
+        A task raising does not abort the fan-out — its exception is captured
+        in its :class:`TaskOutcome` and every other task still runs, which is
+        what lets the sharded wrapper retry, fail or degrade one shard without
+        losing the others' work.  ``deadline`` is an absolute
+        ``time.monotonic()`` timestamp: tasks not finished by then are
+        reported ``timed_out`` (queued tasks are cancelled; running ones
+        cannot be interrupted and their late results are discarded).
+        """
         raise NotImplementedError
 
-    def acquire_radius_slots(self, count: int) -> list[int | None]:
-        """Reserve ``count`` shared-radius slots; ``None`` entries mean no sharing."""
-        return [None] * count
+    def acquire_radii(self, count: int) -> list:
+        """``count`` fresh shared radii; a ``None`` entry means no sharing."""
+        raise NotImplementedError
 
-    def release_radius_slots(self, slots: list[int | None]) -> None:
-        """Return previously acquired slots to the pool."""
+    def release_radii(self, radii: list) -> None:
+        """Return radii from :meth:`acquire_radii` once their queries finish."""
 
     def close(self) -> None:
         """Release pooled resources; the executor lazily recreates them on reuse."""
@@ -390,11 +309,11 @@ class Executor:
 class ThreadExecutor(Executor):
     """The default executor: a lazily created, persistent thread pool.
 
-    Exactly the previous in-process behavior of the sharded wrapper — shared
-    memory, zero serialization, NumPy kernels scale, Python-level descent does
-    not.  ``workers <= 1`` (or a single task) degenerates to a plain loop on
-    the calling thread, which is what makes one worker the exact sequential
-    baseline.
+    Shared memory, zero serialization, NumPy kernels scale, Python-level
+    descent does not.  ``workers <= 1`` (or a single task) degenerates to a
+    plain loop on the calling thread, which is what makes one worker the
+    exact sequential baseline.  Radii are in-process :class:`SharedRadius`
+    objects.
     """
 
     kind = "thread"
@@ -417,17 +336,49 @@ class ThreadExecutor(Executor):
                     )
         return pool
 
-    def map(self, fn: Callable, items: Iterable) -> list:
-        work = list(items)
-        pool = self._ensure_pool() if len(work) > 1 else None
-        return parallel_map(fn, work, self.workers, pool=pool)
-
     def map_outcomes(
         self, fn: Callable, items: Iterable, deadline: float | None = None
     ) -> list[TaskOutcome]:
+        """See :meth:`Executor.map_outcomes`; sequential runs check the
+        deadline between tasks (the first task always runs)."""
         work = list(items)
+
+        def run(item) -> TaskOutcome:
+            try:
+                return TaskOutcome(value=fn(item))
+            # repro-lint: disable=no-bare-except -- sanctioned fault-capture
+            # seam: the exception rides back typed in TaskOutcome.error for
+            # the caller to classify (re-raise, retry, or degrade).
+            except Exception as exc:
+                return TaskOutcome(error=exc)
+
         pool = self._ensure_pool() if len(work) > 1 else None
-        return parallel_map_outcomes(fn, work, self.workers, pool=pool, deadline=deadline)
+        if pool is None:
+            outcomes: list[TaskOutcome] = []
+            for item in work:
+                if deadline is not None and outcomes and time.monotonic() >= deadline:
+                    outcomes.append(TaskOutcome(timed_out=True))
+                else:
+                    outcomes.append(run(item))
+            return outcomes
+        futures = [pool.submit(run, item) for item in work]
+        if deadline is None:
+            futures_wait(futures)
+        else:
+            futures_wait(futures, timeout=max(0.0, deadline - time.monotonic()))
+            for future in futures:
+                future.cancel()
+        # A snapshot taken at the deadline: a straggler finishing afterwards
+        # never changes what the caller sees.
+        return [
+            future.result()
+            if future.done() and not future.cancelled()
+            else TaskOutcome(timed_out=True)
+            for future in futures
+        ]
+
+    def acquire_radii(self, count: int) -> list:
+        return [SharedRadius() for _ in range(count)]
 
     def close(self) -> None:
         with self._pool_lock:
@@ -517,16 +468,6 @@ class ProcessExecutor(Executor):
 
     # -- dispatch ----------------------------------------------------------- #
 
-    def map(self, fn: Callable, items: Iterable) -> list:
-        results = []
-        for outcome in self.map_outcomes(fn, items):
-            if outcome.error is not None:
-                raise outcome.error
-            if outcome.timed_out:
-                raise TimeoutError("process task did not complete")
-            results.append(outcome.value)
-        return results
-
     def map_outcomes(
         self, fn: Callable, items: Iterable, deadline: float | None = None
     ) -> list[TaskOutcome]:
@@ -567,8 +508,10 @@ class ProcessExecutor(Executor):
 
     # -- shared radius slots ------------------------------------------------ #
 
-    def acquire_radius_slots(self, count: int) -> list[int | None]:
-        taken: list[int | None] = []
+    def acquire_radii(self, count: int) -> list:
+        """Handles onto ``count`` free slots, reset to infinity; ``None``
+        entries once the table is exhausted (local-only pruning)."""
+        taken: list[int] = []
         with self._slot_lock:
             while len(taken) < count and self._free_slots:
                 taken.append(self._free_slots.pop())
@@ -577,12 +520,10 @@ class ProcessExecutor(Executor):
                 cells = self._radius_table.get_obj()
                 for index in taken:
                     cells[index] = float("inf")
-        while len(taken) < count:  # table exhausted: local-only pruning
-            taken.append(None)
-        return taken
+        return [ProcessSharedRadius(slot) for slot in taken] + [None] * (count - len(taken))
 
-    def release_radius_slots(self, slots: list[int | None]) -> None:
-        live = [slot for slot in slots if slot is not None]
+    def release_radii(self, radii: list) -> None:
+        live = [radius.slot for radius in radii if radius is not None]
         if not live:
             return
         with self._slot_lock:
@@ -696,7 +637,11 @@ def parallel_batch_search(method, queries, k: int = 1, workers: int | None = Non
             results = method.knn_exact_batch(qs[chunk], k=k)
         return results, reader.counter
 
-    outputs = parallel_map(run_chunk, slices, count)
+    executor = ThreadExecutor(count)
+    try:
+        outputs = executor.map(run_chunk, slices)
+    finally:
+        executor.close()
     results: list = []
     counter = method.store.counter
     for chunk_results, chunk_counter in outputs:

@@ -9,7 +9,7 @@ collect exactly those quantities so every method reports them uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 __all__ = [
     "AccessCounter",
@@ -62,49 +62,23 @@ class AccessCounter:
     retries: int = 0
 
     def reset(self) -> None:
-        self.sequential_pages = 0
-        self.random_accesses = 0
-        self.series_read = 0
-        self.bytes_read = 0
-        self.physical_bytes_read = 0
-        self.bytes_written = 0
-        self.measured_io_seconds = 0.0
-        self.retries = 0
+        for item in fields(self):
+            setattr(self, item.name, item.default)
 
     def snapshot(self) -> "AccessCounter":
-        return AccessCounter(
-            sequential_pages=self.sequential_pages,
-            random_accesses=self.random_accesses,
-            series_read=self.series_read,
-            bytes_read=self.bytes_read,
-            physical_bytes_read=self.physical_bytes_read,
-            bytes_written=self.bytes_written,
-            measured_io_seconds=self.measured_io_seconds,
-            retries=self.retries,
-        )
+        return replace(self)
 
     def diff(self, earlier: "AccessCounter") -> "AccessCounter":
         """Counters accumulated since ``earlier`` was snapshotted."""
-        return AccessCounter(
-            sequential_pages=self.sequential_pages - earlier.sequential_pages,
-            random_accesses=self.random_accesses - earlier.random_accesses,
-            series_read=self.series_read - earlier.series_read,
-            bytes_read=self.bytes_read - earlier.bytes_read,
-            physical_bytes_read=self.physical_bytes_read - earlier.physical_bytes_read,
-            bytes_written=self.bytes_written - earlier.bytes_written,
-            measured_io_seconds=self.measured_io_seconds - earlier.measured_io_seconds,
-            retries=self.retries - earlier.retries,
-        )
+        mine, theirs = vars(self), vars(earlier)
+        return AccessCounter(*[mine[name] - theirs[name] for name in _COUNTER_FIELDS])
 
     def merge(self, other: "AccessCounter") -> None:
-        self.sequential_pages += other.sequential_pages
-        self.random_accesses += other.random_accesses
-        self.series_read += other.series_read
-        self.bytes_read += other.bytes_read
-        self.physical_bytes_read += other.physical_bytes_read
-        self.bytes_written += other.bytes_written
-        self.measured_io_seconds += other.measured_io_seconds
-        self.retries += other.retries
+        _add_fields(self, other, _COUNTER_FIELDS)
+
+
+#: every :class:`AccessCounter` field, in declaration order; all are additive.
+_COUNTER_FIELDS = tuple(item.name for item in fields(AccessCounter))
 
 
 @dataclass
@@ -131,7 +105,8 @@ class QueryStats:
     nodes_visited: int = 0
     #: leaf nodes visited.
     leaves_visited: int = 0
-    #: CPU seconds spent (measured, Python-level; shape-only signal).
+    #: wall-clock seconds spent answering, measured with ``perf_counter``
+    #: (despite the name, not CPU time; a shape-only signal).
     cpu_seconds: float = 0.0
     #: simulated I/O seconds under the active hardware cost model.
     io_seconds: float = 0.0
@@ -162,21 +137,32 @@ class QueryStats:
         return self.cpu_seconds + self.io_seconds
 
     def merge(self, other: "QueryStats") -> None:
-        self.series_examined += other.series_examined
-        self.lower_bounds_computed += other.lower_bounds_computed
-        self.random_accesses += other.random_accesses
-        self.sequential_pages += other.sequential_pages
-        self.bytes_read += other.bytes_read
-        self.physical_bytes_read += other.physical_bytes_read
-        self.nodes_visited += other.nodes_visited
-        self.leaves_visited += other.leaves_visited
-        self.cpu_seconds += other.cpu_seconds
-        self.io_seconds += other.io_seconds
-        self.measured_io_seconds += other.measured_io_seconds
-        self.retries += other.retries
-        self.shards_failed += other.shards_failed
-        self.degraded = self.degraded or other.degraded
+        """Sum every counter of ``other`` in; see :data:`_SUMMED_QUERY_FIELDS`."""
+        _add_fields(self, other, _SUMMED_QUERY_FIELDS)
         self.dataset_size = max(self.dataset_size, other.dataset_size)
+        self.degraded = self.degraded or other.degraded
+
+
+#: the :class:`QueryStats` fields :meth:`QueryStats.merge` sums: all but the
+#: dataset size, which takes the max (shards of one collection merge to its
+#: full size), ``degraded``, which is OR-ed, and the answer distance, which is
+#: left alone.
+_SUMMED_QUERY_FIELDS = tuple(
+    item.name
+    for item in fields(QueryStats)
+    if item.name not in ("dataset_size", "degraded", "answer_distance")
+)
+
+
+def _add_fields(
+    total: AccessCounter | QueryStats,
+    other: AccessCounter | QueryStats,
+    names: tuple[str, ...],
+) -> None:
+    """Add the ``names`` fields of ``other`` into ``total``."""
+    mine, theirs = vars(total), vars(other)
+    for name in names:
+        mine[name] += theirs[name]
 
 
 @dataclass

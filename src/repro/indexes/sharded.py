@@ -4,14 +4,18 @@
 ``shards`` contiguous partitions, builds one instance of any registered
 :class:`~repro.indexes.base.SearchMethod` per partition (concurrently), and
 answers queries by fanning out over the shards on a pluggable
-:class:`~repro.core.parallel.Executor`:
+:class:`~repro.core.parallel.Executor`.  Every shard query is one task plan —
+an operation, its payload and a fresh fork of the shard store — and the same
+code dispatches the plans in retry rounds, degrades failed shards and merges
+the answers and counters, whichever executor runs them:
 
-* **thread mode** (the default): shards run on a persistent thread pool in
-  shared memory — zero serialization, and NumPy kernels that release the GIL
-  scale across cores.  Python-heavy tree descent does not (the GIL serializes
-  it), which is what process mode exists for.
+* **thread mode** (the default): the coordinator's built shard methods run
+  the plans on a persistent thread pool in shared memory — zero
+  serialization, and NumPy kernels that release the GIL scale across cores.
+  Python-heavy tree descent does not (the GIL serializes it), which is what
+  process mode exists for.
 * **process mode** (``executor="process"`` / ``REPRO_EXECUTOR=process``):
-  shards run on a persistent warm process pool.  Tasks ship *plans* — method
+  the plans run on a persistent warm process pool.  They ship a method
   name + params + a picklable backend handle (path + row range), never raw
   data; in-memory collections are spilled once to a temporary ``.npy`` and
   shipped as mmap slices of the spill.  Each worker process rebuilds (or
@@ -57,6 +61,7 @@ and persistence treat it like any other method.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
@@ -73,8 +78,6 @@ from ..core.faults import take_kill_budget
 from ..core.integrity import CorruptionError
 from ..core.parallel import (
     Executor,
-    ProcessSharedRadius,
-    SharedRadius,
     TaskOutcome,
     chunk_slices,
     resolve_executor,
@@ -133,22 +136,27 @@ class _Shard:
 
 
 # --------------------------------------------------------------------------- #
-# Process-mode shard tasks (coordinator side builds them, workers execute)
+# Shard tasks: the coordinator plans them, either executor runs them
 # --------------------------------------------------------------------------- #
 
 
 @dataclass
 class _ShardTask:
-    """A picklable shard task plan: what to run, over which bytes.
+    """A shard task plan: which operation to run, over which bytes.
 
-    Ships a method name + params + a by-path store handle — never raw data —
-    plus the operation payload (query arrays, k, shared-radius slot indices).
-    ``key`` identifies the shard's built index in the per-worker cache;
-    ``kill`` is the fault-injection flag consumed from the coordinator-side
-    ``kill_worker`` budget (the worker SIGKILLs itself on arrival).
+    Every shard query runs through one of these, on either executor.  The
+    operation payload carries the query arrays, ``k`` and the shared radii.
+    ``store`` is a fresh fork of the shard store, so each attempt reads with
+    a private counter and a new fault incarnation.  The remaining fields are
+    for process dispatch, where the plan crosses a pickle boundary: a method
+    name + params + a by-path store handle, never raw data; ``key``
+    identifies the shard's built index in the per-worker cache; ``kill`` is
+    the fault-injection flag consumed from the coordinator-side
+    ``kill_worker`` budget (the worker SIGKILLs itself on arrival).  Thread
+    tasks run against the coordinator's built method and leave ``key`` unset.
     """
 
-    key: tuple
+    key: tuple | None
     store: SeriesStore
     method_name: str
     params: dict
@@ -194,32 +202,74 @@ def _content_key(store: SeriesStore) -> str:
     return digest.hexdigest()
 
 
-def _slot_answer_factory(slots: list):
-    """Answer-set factory wiring shared-radius slots to queries, in order.
+def _shared_answer_set(k: int, radius) -> KnnAnswerSet:
+    """A k-NN answer set pruning against ``radius``; local-only for ``None``
+    (a process executor whose slot table overflowed: less cross-shard
+    pruning, identical answers)."""
+    return KnnAnswerSet(k) if radius is None else SharedKnnAnswerSet(k, radius)
 
-    Mirrors the thread path's radius factory, including the contract check:
-    ``_batch_answer_sets`` implementations must create exactly one answer set
-    per query, in query order — violations raise rather than silently
-    crossing radii between queries.  ``None`` slots (slot-table overflow, or
-    no executor sharing) get a plain local answer set: less cross-shard
-    pruning, identical answers.
+
+def _batch_answer_factory(radii: list):
+    """Answer-set factory wiring one shared radius to each query, in order.
+
+    ``_batch_answer_sets`` implementations must create exactly one answer
+    set per query, in query order — violations raise rather than silently
+    crossing radii between queries.
     """
-    pending = iter(slots)
+    pending = iter(radii)
 
     def factory(k: int) -> KnnAnswerSet:
         try:
-            slot = next(pending)
+            radius = next(pending)
         except StopIteration:
             raise RuntimeError(
                 "_batch_answer_sets created more answer sets than "
                 "queries; implementations must create exactly one "
                 "answer set per query, in query order"
             ) from None
-        if slot is None:
-            return KnnAnswerSet(k)
-        return SharedKnnAnswerSet(k, ProcessSharedRadius(slot))
+        return _shared_answer_set(k, radius)
 
     return factory
+
+
+def _run_shard_task(method: SearchMethod, task: _ShardTask):
+    """Run one query task on ``method``, reading through ``task.store``.
+
+    Returns ``(result, counter_delta)``: ``result`` is ``(answers,
+    QueryStats)`` for the single-query ops and the inner
+    ``_batch_answer_sets`` pair for ``"batch"``; ``counter_delta`` is the
+    :class:`AccessCounter` this task accumulated, for the coordinator to
+    merge after the join.  A single query's answer sets all share its one
+    radius; a batch wires one radius per query.
+    """
+    store, op, payload = task.store, task.op, task.payload
+    factory = None
+    if op == "knn":
+        factory = functools.partial(_shared_answer_set, radius=payload["radii"][0])
+    elif op == "batch":
+        factory = _batch_answer_factory(payload["radii"])
+    query, k = payload.get("query"), int(payload.get("k", 0))
+    before = store.counter_snapshot()
+    local = QueryStats(dataset_size=store.count)
+    with method.execution_context(store=store, answer_factory=factory):
+        if op == "batch":
+            result = method._batch_answer_sets(payload["queries"], k)
+        elif op == "knn":
+            result = method._knn_exact(query, k, local), local
+        elif op == "range":
+            result = method._range_exact(query, payload["radius"], local), local
+        elif op == "approx":
+            result = method._knn_approximate(query, k, local), local
+        elif op == "bounded":
+            result = method._knn_bounded(query, k, local, payload["epsilon"]), local
+        else:
+            raise ValueError(f"unknown shard task op {op!r}")
+    return result, store.since(before)
+
+
+def _run_thread_task(item: tuple[SearchMethod, _ShardTask]):
+    """Thread-pool entry point: the coordinator's built method runs the task."""
+    return _run_shard_task(*item)
 
 
 def _method_blob(method: SearchMethod) -> bytes:
@@ -258,54 +308,20 @@ def _worker_method(task: _ShardTask) -> SearchMethod:
 def _execute_shard_task(task: _ShardTask):
     """Process-pool entry point: run one shard task, return result + delta.
 
-    Returns ``(result, counter_delta)`` where ``result`` is op-specific and
-    ``counter_delta`` is the :class:`AccessCounter` accumulated by this task's
-    store — the cross-process half of the fork/merge accounting protocol.
-    Query deltas exclude any cache-miss build this task happened to pay
-    (matching thread mode, where builds charge at build time, not per query);
-    ``"build"`` tasks return the build's own delta.
+    Query tasks go through :func:`_run_shard_task` after the worker-cache
+    lookup, so their deltas exclude any cache-miss build the task happened to
+    pay (matching thread mode, where builds charge at build time, not per
+    query); ``"build"`` tasks return the pickled method, its stats and the
+    build's own delta.
     """
     if task.kill:
         os.kill(os.getpid(), signal.SIGKILL)
     dispatch_counter = task.store.counter_snapshot()
     method = _worker_method(task)
-    store = method.store
     if task.op == "build":
         result = (_method_blob(method), method.index_stats)
-        return result, store.since(dispatch_counter)
-    payload = task.payload
-    before = store.counter_snapshot()
-    local = QueryStats(dataset_size=store.count)
-    if task.op == "knn":
-        # Unlimited factory bound to the query's one slot — mirrors the
-        # thread path, where every answer set a shard makes for this query
-        # shares the same radius.
-        slot = payload["slots"][0]
-        if slot is None:
-            factory = KnnAnswerSet
-        else:
-            factory = lambda kk: SharedKnnAnswerSet(kk, ProcessSharedRadius(slot))  # noqa: E731
-        with method.execution_context(answer_factory=factory):
-            answers = method._knn_exact(payload["query"], int(payload["k"]), local)
-        result = (answers, local)
-    elif task.op == "batch":
-        factory = _slot_answer_factory(payload["slots"])
-        with method.execution_context(answer_factory=factory):
-            result = method._batch_answer_sets(payload["queries"], int(payload["k"]))
-    elif task.op == "range":
-        answers = method._range_exact(payload["query"], payload["radius"], local)
-        result = (answers, local)
-    elif task.op == "approx":
-        answers = method._knn_approximate(payload["query"], int(payload["k"]), local)
-        result = (answers, local)
-    elif task.op == "bounded":
-        answers = method._knn_bounded(
-            payload["query"], int(payload["k"]), local, payload["epsilon"]
-        )
-        result = (answers, local)
-    else:
-        raise ValueError(f"unknown shard task op {task.op!r}")
-    return result, store.since(before)
+        return result, task.store.since(dispatch_counter)
+    return _run_shard_task(method, task)
 
 
 class ShardedMethod(SearchMethod):
@@ -333,7 +349,8 @@ class ShardedMethod(SearchMethod):
         GEMM-bound flat scans (task pickling + result shipping overhead).
     shard_attempts:
         How many times a failed shard task is executed before it counts as
-        permanently failed (default 2: one retry).  Each attempt runs on a
+        permanently failed (default 2: one retry).  Retries run in rounds,
+        once the other shards' tasks finish.  Each attempt runs on a
         *fresh* fork of the shard store, so a worker that died mid-query is
         replaced wholesale rather than resumed — in process mode that
         includes a worker process lost to SIGKILL, whose shard re-executes on
@@ -436,9 +453,6 @@ class ShardedMethod(SearchMethod):
     @property
     def executor_kind(self) -> str:
         return self._executor_spec
-
-    def _use_process(self) -> bool:
-        return self.executor.kind == "process"
 
     # -- shard planning ---------------------------------------------------------
     @property
@@ -555,9 +569,9 @@ class ShardedMethod(SearchMethod):
         """
         if not shards:
             return []
-        if self._use_process():
+        if self.executor.kind == "process":
             units = [(shard, "build", {}) for shard in shards]
-            successes = self._fan_out_process(units, stats=None, require_all=True)
+            successes = self._fan_out(units, require_all=True)
             stats_list = []
             for shard, (blob, stats) in successes:
                 method = pickle.loads(blob)
@@ -657,93 +671,13 @@ class ShardedMethod(SearchMethod):
         self._invalidate_process_state()
         self._build_shards(self._shards)
 
-    # -- shard task helpers -------------------------------------------------------
+    # -- shard task dispatch --------------------------------------------------------
     def _deadline(self) -> float | None:
         """Absolute monotonic deadline for one fan-out, or ``None``."""
         if self.deadline_seconds is None:
             return None
         return time.monotonic() + self.deadline_seconds
 
-    def _run_with_attempts(self, execute, shard: _Shard, deadline: float | None):
-        """Execute one shard task with re-fork-and-retry failure recovery.
-
-        Each attempt forks the shard store afresh — the forked reader *is* the
-        replaceable worker, so a failed execution is thrown away wholesale
-        (partial counters included) and re-run from clean state.  Counters are
-        only surfaced from the attempt that succeeds.  A
-        :class:`CorruptionError` stops the retries immediately: the damage is
-        at rest, and re-reading the same bytes cannot produce a different
-        digest.  Returns ``(result, counter, extra_attempts)``; raises the
-        last failure when every attempt is exhausted.
-        """
-        failure: Exception | None = None
-        for attempt in range(self.shard_attempts):
-            if attempt and deadline is not None and time.monotonic() >= deadline:
-                break
-            reader = shard.store.fork()
-            try:
-                result = execute(shard, reader)
-            except CorruptionError as exc:
-                failure = exc
-                break
-            # repro-lint: disable=no-bare-except -- sanctioned fault-capture
-            # seam: the failure is stored and re-raised after the retry loop
-            # (shard re-fork/re-execute up to shard_attempts, PR 7).
-            except Exception as exc:
-                failure = exc
-                continue
-            return result, reader.counter, attempt
-        raise failure if failure is not None else TimeoutError(
-            f"shard {shard.index} missed the fan-out deadline"
-        )
-
-    def _fan_out(self, run_shard, stats: QueryStats | None = None):
-        """Run ``run_shard(shard, reader)`` per shard; merge forked counters.
-
-        Every shard gets a forked store (private counter) for the duration of
-        the call; after the ordered join the forks are merged into the current
-        thread's store counter, so accounting rolls up exactly once whether
-        this search runs standalone or nested under an outer execution
-        context.
-
-        Failure semantics: a shard task that raises is re-executed on a fresh
-        fork up to ``shard_attempts`` times.  If it still fails (or misses the
-        per-query deadline), either the original exception propagates
-        (``allow_partial=False``) or the shard is dropped and the degradation
-        is recorded in ``stats``.  Returns ``(shard, result)`` pairs for the
-        shards that succeeded — callers must not assume one entry per shard.
-        """
-        deadline = self._deadline()
-
-        def one(shard: _Shard):
-            return self._run_with_attempts(run_shard, shard, deadline)
-
-        outcomes = self.executor.map_outcomes(one, self._shards, deadline=deadline)
-        counter = self.store.counter
-        successes = []
-        failed = 0
-        reexecutions = 0
-        for shard, outcome in zip(self._shards, outcomes):
-            if outcome.ok:
-                result, fork_counter, extra = outcome.value
-                counter.merge(fork_counter)
-                reexecutions += extra
-                successes.append((shard, result))
-            else:
-                failed += 1
-        if failed and not self.allow_partial:
-            error = next((o.error for o in outcomes if o.error is not None), None)
-            if error is not None:
-                raise error
-            raise TimeoutError(f"{failed} shard task(s) missed the fan-out deadline")
-        if stats is not None:
-            stats.retries += reexecutions
-            if failed:
-                stats.shards_failed += failed
-                stats.degraded = True
-        return successes
-
-    # -- process-mode dispatch ------------------------------------------------
     def _task_key(self, shard: _Shard) -> tuple:
         if shard.task_key is None:
             shard.task_key = (
@@ -800,7 +734,7 @@ class ShardedMethod(SearchMethod):
         self._spill_rows = store.count
         return self._spill_store
 
-    def _shard_task(self, shard: _Shard, op: str, payload: dict) -> _ShardTask:
+    def _process_task(self, shard: _Shard, op: str, payload: dict) -> _ShardTask:
         return _ShardTask(
             key=self._task_key(shard),
             store=self._task_store(shard),
@@ -812,86 +746,107 @@ class ShardedMethod(SearchMethod):
             fresh=op == "build",
         )
 
-    def _process_outcomes(self, units: list, deadline: float | None):
-        """Dispatch ``(shard, op, payload)`` units with re-dispatch recovery.
+    def _thread_task(self, shard: _Shard, op: str, payload: dict):
+        """The coordinator's built method plus a plan over a fresh store fork.
 
-        The process-mode counterpart of :meth:`_run_with_attempts`: a unit
-        whose task fails — including every task in flight when a worker
-        process is SIGKILLed and the pool breaks — is re-dispatched on a
-        fresh store fork (new fault incarnation) up to ``shard_attempts``
-        times; the executor transparently respawns a broken pool between
-        rounds.  :class:`CorruptionError` and deadline misses do not retry.
+        No worker-cache key, no spill and no ``kill_worker`` budget: those
+        exist for process workers (a kill flag here would SIGKILL the
+        coordinator).
+        """
+        task = _ShardTask(
+            key=None,
+            store=shard.store.fork(),
+            method_name=self.inner_name,
+            params=self.inner_params,
+            op=op,
+            payload=payload,
+        )
+        return shard.method, task
+
+    def _dispatch(self, units: list, deadline: float | None):
+        """Run ``(shard, op, payload)`` units in retry rounds on the executor.
+
+        The one shard retry loop, for both executors.  A unit whose task
+        fails — including every task in flight when a worker process is
+        SIGKILLed and the pool breaks — is re-dispatched in the next round on
+        a fresh store fork (new fault incarnation), after the other units
+        finish, up to ``shard_attempts`` times in all; a failed attempt's
+        counters are discarded with it, and a broken process pool
+        is respawned transparently between rounds.  The deadline is checked
+        before each retry round.  :class:`CorruptionError` — re-reading
+        damaged bytes cannot help — and deadline misses do not retry.
         Returns ``(outcomes, extras)`` aligned with ``units``, where
         ``extras`` counts the re-dispatches behind each eventual success.
         """
         executor = self.executor
-        outcomes: list[TaskOutcome | None] = [None] * len(units)
+        if executor.kind == "process":
+            run, plan = _execute_shard_task, self._process_task
+        else:
+            run, plan = _run_thread_task, self._thread_task
+        outcomes: list[TaskOutcome] = [TaskOutcome(timed_out=True)] * len(units)
         extras = [0] * len(units)
         pending = list(range(len(units)))
         for attempt in range(self.shard_attempts):
             if attempt and deadline is not None and time.monotonic() >= deadline:
                 break
-            tasks = [
-                self._shard_task(units[i][0], units[i][1], units[i][2])
-                for i in pending
-            ]
-            results = executor.map_outcomes(
-                _execute_shard_task, tasks, deadline=deadline
-            )
+            tasks = [plan(*units[i]) for i in pending]
             retry = []
-            for i, outcome in zip(pending, results):
+            for i, outcome in zip(
+                pending, executor.map_outcomes(run, tasks, deadline=deadline)
+            ):
                 outcomes[i] = outcome
-                if (
+                if not (
                     outcome.ok
                     or outcome.timed_out
                     or isinstance(outcome.error, CorruptionError)
                 ):
-                    continue
-                retry.append(i)
+                    retry.append(i)
             if not retry:
                 break
             for i in retry:
                 extras[i] += 1
             pending = retry
         return outcomes, [
-            extra if outcomes[i] is not None and outcomes[i].ok else 0
-            for i, extra in enumerate(extras)
+            extra if outcome.ok else 0 for outcome, extra in zip(outcomes, extras)
         ]
 
-    def _fan_out_process(
-        self,
-        units: list,
-        stats: QueryStats | None = None,
-        require_all: bool = False,
-    ):
-        """Process-mode :meth:`_fan_out`: same merge/degrade semantics.
+    def _count_failures(self, outcomes: list, require_all: bool = False) -> int:
+        """Failed outcomes; raises the first shard error unless partial
+        answers are allowed (``require_all`` forbids them outright)."""
+        failed = sum(1 for outcome in outcomes if not outcome.ok)
+        if failed and (require_all or not self.allow_partial):
+            error = next((o.error for o in outcomes if o.error is not None), None)
+            if error is not None:
+                raise error
+            raise TimeoutError(f"{failed} shard task(s) missed the fan-out deadline")
+        return failed
 
-        Counter deltas from the task results are merged into the coordinating
-        store's counter (the pickle-boundary half of the fork/merge protocol);
-        failures degrade or raise exactly like the thread path.
+    def _fan_out(
+        self, units: list, stats: QueryStats | None = None, require_all: bool = False
+    ):
+        """Dispatch ``(shard, op, payload)`` units; merge counters; degrade.
+
+        Counter deltas from the successful tasks are merged into the current
+        thread's store counter after the join, so accounting rolls up exactly
+        once whether this search runs standalone or nested under an outer
+        execution context.  A unit still failed after its retries (or past
+        the per-query deadline) either raises the shard's original exception
+        (``allow_partial=False`` or ``require_all``) or is dropped, with the
+        degradation recorded in ``stats``.  Returns ``(shard, result)`` pairs
+        for the units that succeeded — callers must not assume one entry per
+        shard.
         """
-        deadline = self._deadline()
-        outcomes, extras = self._process_outcomes(units, deadline)
+        outcomes, extras = self._dispatch(units, self._deadline())
+        failed = self._count_failures(outcomes, require_all)
         counter = self.store.counter
         successes = []
-        failed = 0
         reexecutions = 0
         for (shard, _op, _payload), outcome, extra in zip(units, outcomes, extras):
-            if outcome is not None and outcome.ok:
+            if outcome.ok:
                 result, delta = outcome.value
                 counter.merge(delta)
                 reexecutions += extra
                 successes.append((shard, result))
-            else:
-                failed += 1
-        if failed and (require_all or not self.allow_partial):
-            error = next(
-                (o.error for o in outcomes if o is not None and o.error is not None),
-                None,
-            )
-            if error is not None:
-                raise error
-            raise TimeoutError(f"{failed} shard task(s) missed the fan-out deadline")
         if stats is not None:
             stats.retries += reexecutions
             if failed:
@@ -899,75 +854,47 @@ class ShardedMethod(SearchMethod):
                 stats.degraded = True
         return successes
 
-    def _shard_results(self, run_shard, op: str, payload: dict, stats):
-        """``(shard, (answers, local_stats))`` pairs from the active executor."""
-        if self._use_process():
-            units = [(shard, op, payload) for shard in self._shards]
-            return self._fan_out_process(units, stats)
-        return self._fan_out(run_shard, stats)
+    def _shard_answers(self, op: str, payload: dict, stats: QueryStats) -> list:
+        """``(shard, answers)`` for one query fanned out over every shard; the
+        shards' per-query stats are folded into ``stats``."""
+        pairs = self._fan_out([(shard, op, payload) for shard in self._shards], stats)
+        for _shard, (_answers, local) in pairs:
+            stats.merge(local)
+        return [(shard, answers) for shard, (answers, _local) in pairs]
+
+    def _merged_knn(
+        self, op: str, payload: dict, k: int, stats: QueryStats
+    ) -> KnnAnswerSet:
+        merged = self._make_answer_set(k)
+        for shard, answers in self._shard_answers(op, payload, stats):
+            merged.merge(answers, position_offset=shard.offset)
+        return merged
 
     # -- search -------------------------------------------------------------------
     def _knn_exact(self, query: np.ndarray, k: int, stats: QueryStats) -> KnnAnswerSet:
-        shared = SharedRadius()
-        slots = self.executor.acquire_radius_slots(1)
+        radii = self.executor.acquire_radii(1)
         try:
-
-            def run_shard(shard: _Shard, reader: SeriesStore):
-                local = QueryStats(dataset_size=reader.count)
-                factory = lambda kk: SharedKnnAnswerSet(kk, shared)  # noqa: E731
-                with shard.method.execution_context(store=reader, answer_factory=factory):
-                    answers = shard.method._knn_exact(query, k, local)
-                return answers, local
-
-            payload = {"query": query, "k": int(k), "slots": list(slots)}
-            pairs = self._shard_results(run_shard, "knn", payload, stats)
+            payload = {"query": query, "k": int(k), "radii": radii}
+            return self._merged_knn("knn", payload, k, stats)
         finally:
-            self.executor.release_radius_slots(slots)
-        merged = self._make_answer_set(k)
-        for shard, (answers, local) in pairs:
-            merged.merge(answers, position_offset=shard.offset)
-            self._merge_query_stats(stats, local)
-        return merged
+            self.executor.release_radii(radii)
 
     def _knn_approximate(
         self, query: np.ndarray, k: int, stats: QueryStats
     ) -> KnnAnswerSet:
         """ng-approximate search: one descent per shard, merged."""
-
-        def run_shard(shard: _Shard, reader: SeriesStore):
-            local = QueryStats(dataset_size=reader.count)
-            with shard.method.execution_context(store=reader):
-                answers = shard.method._knn_approximate(query, k, local)
-            return answers, local
-
-        payload = {"query": query, "k": int(k)}
-        merged = self._make_answer_set(k)
-        for shard, (answers, local) in self._shard_results(
-            run_shard, "approx", payload, stats
-        ):
-            merged.merge(answers, position_offset=shard.offset)
-            self._merge_query_stats(stats, local)
-        return merged
+        return self._merged_knn("approx", {"query": query, "k": int(k)}, k, stats)
 
     def _range_exact(
         self, query: np.ndarray, radius: float, stats: QueryStats
     ) -> RangeAnswerSet:
-        def run_shard(shard: _Shard, reader: SeriesStore):
-            local = QueryStats(dataset_size=reader.count)
-            with shard.method.execution_context(store=reader):
-                answers = shard.method._range_exact(query, radius, local)
-            return answers, local
-
         payload = {"query": query, "radius": float(radius)}
         merged = RangeAnswerSet(radius=radius)
-        for shard, (answers, local) in self._shard_results(
-            run_shard, "range", payload, stats
-        ):
+        for shard, answers in self._shard_answers("range", payload, stats):
             merged.matches.extend(
                 Neighbor(distance=n.distance, position=n.position + shard.offset)
                 for n in answers.matches
             )
-            self._merge_query_stats(stats, local)
         return merged
 
     def _batch_answer_sets(self, queries: np.ndarray, k: int):
@@ -978,108 +905,35 @@ class ShardedMethod(SearchMethod):
         its own (possibly vectorized) batch path to every chunk.  Every query
         gets its own shared radius, so — exactly like the single-query path —
         an answer found for query ``j`` in one shard tightens every other
-        shard's pruning for query ``j``.  The radii are wired in through the
-        answer-set factory, relying on the ``_batch_answer_sets`` contract
-        that implementations create exactly one answer set per query, in
-        query order (violations raise rather than silently crossing radii
-        between queries).  Both executors use the same (shard x chunk) task
-        layout, so the GEMM tile shapes — and therefore the flat/MASS batch
-        distances — are identical in thread and process mode.
+        shard's pruning for query ``j``.  Both executors use the same
+        (shard x chunk) task layout, so the GEMM tile shapes — and therefore
+        the flat/MASS batch distances — are identical in thread and process
+        mode.  A failed task degrades exactly the queries it served.
         """
         total = queries.shape[0]
         if total == 0:
             return [], []
         chunk_count = max(1, min(total, -(-self.workers // max(1, len(self._shards)))))
-        chunks = chunk_slices(total, chunk_count)
-        if self._use_process():
-            return self._batch_answer_sets_process(queries, k, chunks)
-        tasks = [(shard, sl) for sl in chunks for shard in self._shards]
-        radii = [SharedRadius() for _ in range(total)]
-
-        def radius_factory(sl: slice):
-            pending = iter(range(sl.start, sl.stop))
-
-            def factory(kk: int) -> SharedKnnAnswerSet:
-                try:
-                    j = next(pending)
-                except StopIteration:
-                    raise RuntimeError(
-                        "_batch_answer_sets created more answer sets than "
-                        "queries; implementations must create exactly one "
-                        "answer set per query, in query order"
-                    ) from None
-                return SharedKnnAnswerSet(kk, radii[j])
-
-            return factory
-
-        deadline = self._deadline()
-
-        def execute(task):
-            def attempt(shard: _Shard, reader: SeriesStore):
-                with shard.method.execution_context(
-                    store=reader, answer_factory=radius_factory(task[1])
-                ):
-                    return shard.method._batch_answer_sets(queries[task[1]], k)
-
-            return self._run_with_attempts(attempt, task[0], deadline)
-
-        outcomes = self.executor.map_outcomes(execute, tasks, deadline=deadline)
-        merged_sets = [self._make_answer_set(k) for _ in range(total)]
-        merged_stats = [QueryStats(dataset_size=self.store.count) for _ in range(total)]
-        counter = self.store.counter
-        for (shard, sl), outcome in zip(tasks, outcomes):
-            if not outcome.ok:
-                if not self.allow_partial:
-                    if outcome.error is not None:
-                        raise outcome.error
-                    raise TimeoutError(
-                        f"shard {shard.index} missed the batch fan-out deadline"
-                    )
-                # Degrade exactly the queries this (shard, chunk) task served.
-                for j in range(sl.start, sl.stop):
-                    merged_stats[j].shards_failed += 1
-                    merged_stats[j].degraded = True
-                continue
-            (sets, stats_list), fork_counter, extra = outcome.value
-            counter.merge(fork_counter)
-            for within, (answers, shard_stats) in enumerate(zip(sets, stats_list)):
-                j = sl.start + within
-                merged_sets[j].merge(answers, position_offset=shard.offset)
-                self._merge_query_stats(merged_stats[j], shard_stats)
-                merged_stats[j].retries += extra
-        return merged_sets, merged_stats
-
-    def _batch_answer_sets_process(self, queries: np.ndarray, k: int, chunks):
-        """Process half of :meth:`_batch_answer_sets`: same tasks, same merge."""
-        total = queries.shape[0]
-        slots = self.executor.acquire_radius_slots(total)
+        spans = [
+            (shard, sl)
+            for sl in chunk_slices(total, chunk_count)
+            for shard in self._shards
+        ]
+        radii = self.executor.acquire_radii(total)
         try:
             units = [
-                (
-                    shard,
-                    "batch",
-                    {"queries": queries[sl], "k": int(k), "slots": slots[sl]},
-                )
-                for sl in chunks
-                for shard in self._shards
+                (shard, "batch", {"queries": queries[sl], "k": int(k), "radii": radii[sl]})
+                for shard, sl in spans
             ]
-            deadline = self._deadline()
-            outcomes, extras = self._process_outcomes(units, deadline)
+            outcomes, extras = self._dispatch(units, self._deadline())
         finally:
-            self.executor.release_radius_slots(slots)
-        task_spans = [(shard, sl) for sl in chunks for shard in self._shards]
+            self.executor.release_radii(radii)
         merged_sets = [self._make_answer_set(k) for _ in range(total)]
         merged_stats = [QueryStats(dataset_size=self.store.count) for _ in range(total)]
+        self._count_failures(outcomes)
         counter = self.store.counter
-        for (shard, sl), outcome, extra in zip(task_spans, outcomes, extras):
-            if outcome is None or not outcome.ok:
-                if not self.allow_partial:
-                    error = outcome.error if outcome is not None else None
-                    if error is not None:
-                        raise error
-                    raise TimeoutError(
-                        f"shard {shard.index} missed the batch fan-out deadline"
-                    )
+        for (shard, sl), outcome, extra in zip(spans, outcomes, extras):
+            if not outcome.ok:
                 for j in range(sl.start, sl.stop):
                     merged_stats[j].shards_failed += 1
                     merged_stats[j].degraded = True
@@ -1089,7 +943,7 @@ class ShardedMethod(SearchMethod):
             for within, (answers, shard_stats) in enumerate(zip(sets, stats_list)):
                 j = sl.start + within
                 merged_sets[j].merge(answers, position_offset=shard.offset)
-                self._merge_query_stats(merged_stats[j], shard_stats)
+                merged_stats[j].merge(shard_stats)
                 merged_stats[j].retries += extra
         return merged_sets, merged_stats
 
@@ -1112,34 +966,11 @@ class ShardedMethod(SearchMethod):
         stats = QueryStats(dataset_size=self.store.count)
         series = np.asarray(query.series, dtype=np.float64)
         start = time.perf_counter()
-
-        def run_shard(shard: _Shard, reader: SeriesStore):
-            local = QueryStats(dataset_size=reader.count)
-            with shard.method.execution_context(store=reader):
-                answers = shard.method._knn_bounded(series, query.k, local, epsilon)
-            return answers, local
-
         payload = {"query": series, "k": int(query.k), "epsilon": float(epsilon)}
-        merged = self._make_answer_set(query.k)
-        for shard, (answers, local) in self._shard_results(
-            run_shard, "bounded", payload, stats
-        ):
-            merged.merge(answers, position_offset=shard.offset)
-            self._merge_query_stats(stats, local)
+        merged = self._merged_knn("bounded", payload, query.k, stats)
         stats.cpu_seconds = time.perf_counter() - start
         self._charge_delta(stats, self.store.since(before))
         return self._package_result(merged, stats)
-
-    @staticmethod
-    def _merge_query_stats(total: QueryStats, shard_stats: QueryStats) -> None:
-        """Fold one shard's per-query stats into the merged totals.
-
-        Every additive counter sums (``QueryStats.merge``); the dataset size
-        stays the full collection's so pruning ratios read globally.
-        """
-        dataset_size = total.dataset_size
-        total.merge(shard_stats)
-        total.dataset_size = max(dataset_size, shard_stats.dataset_size)
 
     # -- description ----------------------------------------------------------------
     def describe(self) -> dict:

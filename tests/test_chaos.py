@@ -20,7 +20,7 @@ import pytest
 from repro import Dataset, SeriesStore
 from repro.core.faults import FaultPlan, RetryPolicy
 from repro.core.integrity import CorruptionError, invalidate_manifest_cache
-from repro.core.queries import KnnQuery
+from repro.core.queries import KnnQuery, RangeQuery
 from repro.core.registry import available_methods, create_method
 from repro.workloads.generators import random_walk_dataset
 
@@ -169,19 +169,72 @@ class TestShardWorkerRecovery:
         store = SeriesStore(dataset)
         return _method("sharded:flat", store, shards=3, workers=2, **extra)
 
-    def _kill_next_calls(self, shard, count):
-        """Make the shard's search raise for its next ``count`` calls."""
-        original = shard.method._knn_exact
+    def _kill_next_calls(self, shard, count, attr="_knn_exact"):
+        """Make the shard's ``attr`` search raise for its next ``count`` calls."""
+        original = getattr(shard.method, attr)
         state = {"left": count}
 
-        def dying(query, k, stats):
+        def dying(*args):
             if state["left"] > 0:
                 state["left"] -= 1
                 raise RuntimeError("simulated killed shard worker")
-            return original(query, k, stats)
+            return original(*args)
 
-        shard.method._knn_exact = dying
+        setattr(shard.method, attr, dying)
         return state
+
+    #: op -> (sharded method, the inner search the op's shard task calls)
+    OPS = {
+        "knn_exact": ("sharded:flat", "_knn_exact"),
+        "knn_exact_batch": ("sharded:flat", "_batch_answer_sets"),
+        "range_exact": ("sharded:flat", "_range_exact"),
+        "knn_approximate": ("sharded:isax2+", "_knn_approximate"),
+        "knn_epsilon": ("sharded:m-tree", "_knn_bounded"),
+    }
+
+    def _op_method(self, op, dataset, **extra):
+        return _method(self.OPS[op][0], SeriesStore(dataset), shards=3, workers=2, **extra)
+
+    def _run_op(self, op, method, dataset, queries):
+        """Every result the op returns for the chaos queries."""
+        if op == "knn_exact_batch":
+            stacked = np.vstack([np.asarray(q.series, dtype=np.float64) for q in queries])
+            return method.knn_exact_batch(stacked, k=3)
+        query = queries[0]
+        if op == "range_exact":
+            # A radius holding the query's eight nearest rows.
+            diffs = dataset.values.astype(np.float64) - np.asarray(query.series)
+            radius = float(np.sort(np.sqrt(np.einsum("ij,ij->i", diffs, diffs)))[7])
+            return [method.range_exact(RangeQuery(series=query.series, radius=radius))]
+        if op == "knn_epsilon":
+            return [method.knn_epsilon(query, epsilon=0.5)]
+        return [getattr(method, op)(query)]
+
+    @pytest.mark.parametrize("op", list(OPS))
+    def test_every_op_recovers_from_one_failure(self, op, chaos_dataset, chaos_queries):
+        clean = self._run_op(
+            op, self._op_method(op, chaos_dataset), chaos_dataset, chaos_queries
+        )
+        method = self._op_method(op, chaos_dataset)
+        state = self._kill_next_calls(method._shards[0], 1, self.OPS[op][1])
+        results = self._run_op(op, method, chaos_dataset, chaos_queries)
+        assert all(r.neighbors for r in clean)
+        assert state["left"] == 0  # the failure was injected
+        assert [[(n.position, n.distance) for n in r.neighbors] for r in results] == [
+            [(n.position, n.distance) for n in r.neighbors] for r in clean
+        ]
+        assert all(r.stats.retries >= 1 for r in results)
+        assert not any(r.stats.degraded for r in results)
+
+    @pytest.mark.parametrize("op", list(OPS))
+    def test_every_op_degrades_on_permanent_failure(
+        self, op, chaos_dataset, chaos_queries
+    ):
+        method = self._op_method(op, chaos_dataset, allow_partial=True)
+        self._kill_next_calls(method._shards[0], 10**6, self.OPS[op][1])
+        results = self._run_op(op, method, chaos_dataset, chaos_queries)
+        assert all(r.stats.degraded for r in results)
+        assert all(r.stats.shards_failed == 1 for r in results)
 
     def test_killed_worker_recovers_to_exact_answer(self, chaos_dataset, chaos_queries):
         baseline = _answers(self._sharded(chaos_dataset), chaos_queries[:1])

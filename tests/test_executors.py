@@ -32,6 +32,7 @@ from repro import (
 from repro.core.faults import FaultPlan, reset_crash_counters, take_kill_budget
 from repro.core.parallel import (
     ProcessExecutor,
+    SharedRadius,
     ThreadExecutor,
     default_executor_kind,
     resolve_executor,
@@ -519,23 +520,23 @@ class TestExecutorSeam:
 
     def test_radius_slot_pool_and_overflow(self):
         executor = ProcessExecutor(workers=1, radius_slots=2)
-        slots = executor.acquire_radius_slots(3)
-        live = [s for s in slots if s is not None]
+        radii = executor.acquire_radii(3)
+        live = [r.slot for r in radii if r is not None]
         assert len(live) == 2  # table exhausted: third slot is local-only
-        assert slots.count(None) == 1
+        assert radii.count(None) == 1
         for slot in live:
             assert executor.radius_value(slot) == float("inf")
-        executor.release_radius_slots(slots)
-        assert sorted(executor.acquire_radius_slots(2)) == sorted(live)
+        executor.release_radii(radii)
+        assert sorted(r.slot for r in executor.acquire_radii(2)) == sorted(live)
         executor.close()
 
     def test_worker_slot_factory_enforces_batch_contract(self):
         """The worker-side answer-set factory raises when an inner batch path
         creates more answer sets than queries (the thread path's contract
         check, mirrored across the pickle boundary)."""
-        from repro.indexes.sharded import _slot_answer_factory
+        from repro.indexes.sharded import _batch_answer_factory
 
-        factory = _slot_answer_factory([None, None])
+        factory = _batch_answer_factory([None, None])
         factory(3)
         factory(3)
         with pytest.raises(RuntimeError, match="one answer set per query"):
@@ -543,8 +544,11 @@ class TestExecutorSeam:
 
     def test_thread_executor_has_no_slots(self):
         executor = ThreadExecutor(4)
-        assert executor.acquire_radius_slots(3) == [None, None, None]
-        executor.release_radius_slots([None, None, None])
+        radii = executor.acquire_radii(3)
+        assert [type(r) for r in radii] == [SharedRadius] * 3  # in-process
+        assert len({id(r) for r in radii}) == 3
+        assert all(r.value == float("inf") for r in radii)
+        executor.release_radii(radii)
         executor.close()
 
     def test_engine_and_runner_plumbing(self, queries):

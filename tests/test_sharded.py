@@ -26,7 +26,7 @@ from repro import (
 )
 from repro.core.answers import KnnAnswerSet
 from repro.core.buffer import BufferPool
-from repro.core.parallel import SharedRadius, chunk_slices, parallel_map, resolve_workers
+from repro.core.parallel import SharedRadius, ThreadExecutor, chunk_slices, resolve_workers
 from repro.core.queries import KnnQuery, RangeQuery
 from repro.indexes.sharded import ShardedMethod
 from repro.workloads import random_walk_dataset, synth_rand_workload
@@ -498,11 +498,13 @@ class TestParallelPrimitives:
         assert chunk_slices(0, 4) == []
 
     def test_parallel_map_orders_and_propagates(self):
-        assert parallel_map(lambda x: x * x, range(20), workers=4) == [
+        assert ThreadExecutor(4).map(lambda x: x * x, range(20)) == [
             x * x for x in range(20)
         ]
         with pytest.raises(RuntimeError):
-            parallel_map(lambda x: (_ for _ in ()).throw(RuntimeError("boom")), [1, 2], 2)
+            ThreadExecutor(2).map(
+                lambda x: (_ for _ in ()).throw(RuntimeError("boom")), [1, 2]
+            )
 
     def test_shared_radius_monotone_under_threads(self):
         shared = SharedRadius()
@@ -512,7 +514,7 @@ class TestParallelPrimitives:
             for v in chunk:
                 shared.tighten(v)
 
-        parallel_map(publish, [values[i::4] for i in range(4)], workers=4)
+        ThreadExecutor(4).map(publish, [values[i::4] for i in range(4)])
         assert shared.value == min(values)
         assert not shared.tighten(min(values) + 1.0)
 

@@ -1,5 +1,7 @@
 """Tests for the accounting dataclasses."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.stats import AccessCounter, IndexStats, QueryStats, aggregate_query_stats
@@ -77,6 +79,55 @@ class TestQueryStats:
 
     def test_aggregate_empty(self):
         assert aggregate_query_stats([]).series_examined == 0
+
+
+def _distinct_values(cls, skip=()):
+    """A distinct nonzero value per field of ``cls`` (ints stay ints)."""
+    values = {}
+    for number, item in enumerate(dataclasses.fields(cls), start=1):
+        if item.name in skip:
+            continue
+        values[item.name] = number if isinstance(item.default, int) else number + 0.5
+    return values
+
+
+class TestNoCounterDropped:
+    """Every field survives every accounting operation, so a counter added
+    later cannot silently miss a snapshot, diff, merge or reset."""
+
+    def test_access_counter_carries_every_field(self):
+        values = _distinct_values(AccessCounter)
+        assert set(values) == {f.name for f in dataclasses.fields(AccessCounter)}
+        counter = AccessCounter(**values)
+
+        snap = counter.snapshot()
+        assert snap is not counter
+        assert dataclasses.asdict(snap) == values
+
+        doubled = AccessCounter(**{name: 3 * v for name, v in values.items()})
+        assert dataclasses.asdict(doubled.diff(counter)) == {
+            name: 2 * v for name, v in values.items()
+        }
+
+        merged = AccessCounter(**values)
+        merged.merge(counter)
+        assert dataclasses.asdict(merged) == {name: 2 * v for name, v in values.items()}
+
+        counter.reset()
+        assert counter == AccessCounter()
+        assert dataclasses.asdict(snap) == values  # the snapshot is a copy
+
+    def test_query_stats_merge_sums_every_summed_field(self):
+        unsummed = {"dataset_size", "degraded", "answer_distance"}
+        values = _distinct_values(QueryStats, skip=unsummed)
+        assert set(values) | unsummed == {f.name for f in dataclasses.fields(QueryStats)}
+        total = QueryStats(**values, dataset_size=10, answer_distance=1.5)
+        total.merge(QueryStats(**values, dataset_size=40, degraded=True))
+        for name, value in values.items():
+            assert getattr(total, name) == pytest.approx(2 * value), name
+        assert total.dataset_size == 40
+        assert total.degraded is True
+        assert total.answer_distance == 1.5
 
 
 class TestIndexStats:
